@@ -103,19 +103,16 @@ class BTree:
     # Descent
     # ------------------------------------------------------------------
 
-    def _entry_key(self, payload: bytes) -> tuple | None:
-        child, key_bytes = decode_entry(payload)
-        del child
-        if key_bytes is None:
-            return None
-        return self.key_codec.decode(key_bytes)
-
     def _child_index(self, page: Page, key: tuple) -> int:
-        """Index of the interior entry whose subtree covers ``key``."""
+        """Index of the interior entry whose subtree covers ``key``.
+
+        Probes read each separator in place from the page buffer.
+        """
+        data, span, decode = page.data, page.record_span, self.key_codec.decode
         lo, hi = 1, page.slot_count  # entry 0 is the -inf sentinel
         while lo < hi:
             mid = (lo + hi) // 2
-            entry_key = self._entry_key(page.record(mid))
+            entry_key = decode(data, span(mid)[0] + _ENTRY_CHILD.size)
             if entry_key <= key:
                 lo = mid + 1
             else:
@@ -146,16 +143,22 @@ class BTree:
                         f"btree {self.object_id}: empty interior page {pid}"
                     )
                 slot = 0 if key is None else self._child_index(page, key)
-                child, _kb = decode_entry(page.record(slot))
+                child = _ENTRY_CHILD.unpack_from(page.data, page.record_span(slot)[0])[0]
             path.append((pid, slot))
             pid = child
 
     def _find_slot(self, page: Page, key: tuple) -> tuple[int, bool]:
-        """(insertion slot, exact-match?) within a leaf page."""
+        """(insertion slot, exact-match?) within a leaf page.
+
+        Probes decode only each probed row's key, in place in the page
+        buffer.
+        """
+        data, span, decode_key = page.data, page.record_span, self.codec.decode_key
         lo, hi = 0, page.slot_count
         while lo < hi:
             mid = (lo + hi) // 2
-            mid_key = self.codec.decode_key(page.record(mid))
+            start, length = span(mid)
+            mid_key = decode_key(data, start, length)
             if mid_key < key:
                 lo = mid + 1
             elif mid_key > key:
@@ -183,20 +186,23 @@ class BTree:
         env = self.services.env
         pid, _path = self._descend(lo)
         while pid != NULL_PAGE:
-            rows = []
             with self.services.fetch(pid) as guard:
                 page = guard.page
                 next_pid = page.next_page
-                for payload in page.records():
-                    rows.append(self.codec.decode(payload))
+                # Bound the page's slots by key search, so only rows in
+                # range are decoded; slots from ``end`` on are past ``hi``.
+                count = page.slot_count
+                start = 0 if lo is None else self._find_slot(page, lo)[0]
+                end = count
+                if hi is not None:
+                    slot, found = self._find_slot(page, hi)
+                    end = max(start, slot + found)
+                rows = [self.codec.decode(page.record(slot)) for slot in range(start, end)]
             for row in rows:
-                key = self.schema.key_of(row)
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and key > hi:
-                    return
                 env.charge_cpu(env.cost.query_row_cpu_s)
                 yield row
+            if end < count:
+                return
             pid = next_pid
 
     def count(self) -> int:

@@ -90,6 +90,7 @@ class TableSchema:
     columns: tuple[Column, ...]
     key: tuple[str, ...]
     _index_by_name: dict = field(default_factory=dict, compare=False, repr=False)
+    _key_positions: tuple = field(default=(), compare=False, repr=False)
 
     def __init__(self, name: str, columns, key) -> None:
         object.__setattr__(self, "name", name)
@@ -101,6 +102,9 @@ class TableSchema:
             {col.name: pos for pos, col in enumerate(self.columns)},
         )
         self._validate()
+        object.__setattr__(
+            self, "_key_positions", tuple(self._index_by_name[k] for k in self.key)
+        )
 
     def _validate(self) -> None:
         if not self.name:
@@ -126,7 +130,7 @@ class TableSchema:
     @property
     def key_positions(self) -> tuple[int, ...]:
         """Positions of the key columns within the row tuple."""
-        return tuple(self._index_by_name[k] for k in self.key)
+        return self._key_positions
 
     def position_of(self, column_name: str) -> int:
         """Index of ``column_name`` in the row tuple; raises ``KeyError``."""
@@ -137,7 +141,7 @@ class TableSchema:
 
     def key_of(self, row: tuple) -> tuple:
         """Extract the primary-key tuple from a full row tuple."""
-        return tuple(row[pos] for pos in self.key_positions)
+        return tuple([row[pos] for pos in self._key_positions])
 
     def check_row(self, row: tuple) -> None:
         """Validate arity and every value of ``row``."""

@@ -11,9 +11,7 @@ from __future__ import annotations
 import zlib
 
 from repro.errors import PageCorruptionError
-
-#: Byte offset of the u32 checksum field inside the page header.
-CHECKSUM_OFFSET = 48
+from repro.storage.page import CHECKSUM_OFFSET
 _FIELD = slice(CHECKSUM_OFFSET, CHECKSUM_OFFSET + 4)
 
 

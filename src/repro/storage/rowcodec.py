@@ -11,6 +11,7 @@ mini-schema with no nullable columns.
 
 from __future__ import annotations
 
+import itertools
 import struct
 
 from repro.catalog.schema import Column, ColumnType, TableSchema
@@ -18,7 +19,20 @@ from repro.errors import StorageError
 
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_BOOL = struct.Struct("<?")
 _U16 = struct.Struct("<H")
+
+#: ``struct`` codes of the fixed-width types, as :func:`_encode_value`
+#: writes them.
+_FIXED_CODE = {ColumnType.INT: "q", ColumnType.FLOAT: "d", ColumnType.BOOL: "?"}
+
+
+def _fixed_struct(ctypes) -> struct.Struct | None:
+    """One struct reading ``ctypes`` back to back, or None if any is var-len."""
+    ctypes = tuple(ctypes)
+    if any(ctype.is_varlen for ctype in ctypes):
+        return None
+    return struct.Struct("<" + "".join(_FIXED_CODE[ctype] for ctype in ctypes))
 
 
 def _encode_value(ctype: ColumnType, value, out: bytearray) -> None:
@@ -39,31 +53,56 @@ def _encode_value(ctype: ColumnType, value, out: bytearray) -> None:
         raise StorageError(f"unsupported column type {ctype}")
 
 
-def _decode_value(ctype: ColumnType, data: bytes, pos: int):
+def _decode_value(ctype: ColumnType, data, pos: int):
+    """(value, next position); a truncated value raises ``struct.error``
+    or, for a var-len one, :class:`StorageError`."""
     if ctype is ColumnType.INT:
         return _I64.unpack_from(data, pos)[0], pos + 8
     if ctype is ColumnType.FLOAT:
         return _F64.unpack_from(data, pos)[0], pos + 8
     if ctype is ColumnType.BOOL:
-        return bool(data[pos]), pos + 1
+        return _BOOL.unpack_from(data, pos)[0], pos + 1
+    (length,) = _U16.unpack_from(data, pos)
+    start = pos + _U16.size
+    end = start + length
+    if end > len(data):
+        raise StorageError(f"{ctype.value} value of {length} bytes runs past the payload end")
     if ctype is ColumnType.STR:
-        (length,) = _U16.unpack_from(data, pos)
-        start = pos + 2
-        return data[start : start + length].decode("utf-8"), start + length
-    if ctype is ColumnType.BYTES:
-        (length,) = _U16.unpack_from(data, pos)
-        start = pos + 2
-        return bytes(data[start : start + length]), start + length
-    raise StorageError(f"unsupported column type {ctype}")  # pragma: no cover
+        return data[start:end].decode("utf-8"), end
+    return bytes(data[start:end]), end
 
 
 class RowCodec:
-    """Encode/decode full rows for one :class:`TableSchema`."""
+    """Encode/decode full rows for one :class:`TableSchema`.
+
+    Every payload that does not decode cleanly (too short, a value past
+    its end, invalid UTF-8) raises :class:`StorageError`.
+    """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self._types = tuple(col.ctype for col in schema.columns)
         self._bitmap_len = (len(self._types) + 7) // 8
+        self._no_nulls = bytes(self._bitmap_len)
+        #: Decode plan of a row without NULLs: a struct per run of
+        #: adjacent fixed-width columns, the type of each var-len one.
+        self._plan = []
+        for varlen, run in itertools.groupby(self._types, key=lambda ctype: ctype.is_varlen):
+            if varlen:
+                self._plan += [(None, ctype) for ctype in run]
+            else:
+                self._plan.append((_fixed_struct(run), None))
+        #: Columns up to the last key column, and the key's positions
+        #: among them (None when the key is exactly that prefix).
+        positions = schema.key_positions
+        self._key_prefix = max(positions) + 1
+        self._key_pick = None if positions == tuple(range(self._key_prefix)) else positions
+        #: Key fast path: the prefix read by one unpack after the bitmap,
+        #: when all of it is NOT NULL and fixed width.
+        prefix = schema.columns[: self._key_prefix]
+        self._key_struct = None
+        if not any(col.nullable for col in prefix):
+            self._key_struct = _fixed_struct(col.ctype for col in prefix)
 
     def encode(self, row: tuple) -> bytes:
         """Serialize a validated row tuple."""
@@ -77,32 +116,68 @@ class RowCodec:
                 _encode_value(ctype, value, body)
         return bytes(bitmap) + bytes(body)
 
-    def decode(self, data: bytes) -> tuple:
-        """Deserialize a payload produced by :meth:`encode`."""
+    def _corrupt(self, problem: str) -> StorageError:
+        return StorageError(f"row for {self.schema.name!r}: {problem}")
+
+    def _decode_columns(self, data, count: int) -> list:
+        """Values of the first ``count`` columns, NULLs included."""
         if len(data) < self._bitmap_len:
-            raise StorageError(
-                f"row for {self.schema.name!r}: payload shorter than null bitmap"
-            )
-        bitmap = data[: self._bitmap_len]
+            raise self._corrupt("payload shorter than null bitmap")
         pos = self._bitmap_len
         values = []
-        for index, ctype in enumerate(self._types):
-            if bitmap[index // 8] & (1 << (index % 8)):
-                values.append(None)
-            else:
-                value, pos = _decode_value(ctype, data, pos)
-                values.append(value)
+        try:
+            for index in range(count):
+                if data[index // 8] & (1 << (index % 8)):
+                    values.append(None)
+                else:
+                    value, pos = _decode_value(self._types[index], data, pos)
+                    values.append(value)
+        except (struct.error, UnicodeDecodeError) as err:
+            raise self._corrupt(f"undecodable payload ({err})") from err
+        return values
+
+    def decode(self, data: bytes) -> tuple:
+        """Deserialize a payload produced by :meth:`encode`."""
+        if not data.startswith(self._no_nulls):
+            return tuple(self._decode_columns(data, len(self._types)))
+        # No NULLs: every run of fixed-width columns is one unpack.
+        pos = self._bitmap_len
+        values = []
+        try:
+            for fixed, varlen in self._plan:
+                if fixed is not None:
+                    values += fixed.unpack_from(data, pos)
+                    pos += fixed.size
+                else:
+                    value, pos = _decode_value(varlen, data, pos)
+                    values.append(value)
+        except (struct.error, UnicodeDecodeError) as err:
+            raise self._corrupt(f"undecodable payload ({err})") from err
         return tuple(values)
 
-    def decode_key(self, data: bytes) -> tuple:
-        """Extract only the primary-key tuple from an encoded row.
+    def decode_key(self, data, offset: int = 0, length: int | None = None) -> tuple:
+        """The primary-key tuple of the row encoded at
+        ``data[offset:offset + length]`` (default: all of ``data``).
 
-        Decodes the full row (values are cheap at our scale) and projects
-        the key positions; kept as a named operation so the B-tree reads
-        declare intent.
+        Decodes no column past the last key column. When every column up
+        to it is NOT NULL and fixed width (every TPC-C table), the key is
+        one precompiled unpack after the null bitmap, read in place: a
+        B-tree probe passes the page buffer and the record's span, so
+        nothing is copied.
         """
-        row = self.decode(data)
-        return self.schema.key_of(row)
+        if length is None:
+            length = len(data) - offset
+        key_struct = self._key_struct
+        if key_struct is None:
+            values = self._decode_columns(bytes(data[offset : offset + length]), self._key_prefix)
+        else:
+            if length < self._bitmap_len + key_struct.size:
+                raise self._corrupt(f"{length}-byte payload ends inside the key")
+            values = key_struct.unpack_from(data, offset + self._bitmap_len)
+        pick = self._key_pick
+        if pick is None:
+            return tuple(values)
+        return tuple([values[pos] for pos in pick])
 
 
 class KeyCodec:
@@ -115,6 +190,8 @@ class KeyCodec:
 
     def __init__(self, ctypes) -> None:
         self.ctypes = tuple(ctypes)
+        #: Every key column fixed width: the whole key is one unpack.
+        self._struct = _fixed_struct(self.ctypes)
 
     @classmethod
     def for_schema(cls, schema: TableSchema) -> "KeyCodec":
@@ -134,13 +211,19 @@ class KeyCodec:
             _encode_value(ctype, value, out)
         return bytes(out)
 
-    def decode(self, data: bytes) -> tuple:
-        pos = 0
-        values = []
-        for ctype in self.ctypes:
-            value, pos = _decode_value(ctype, data, pos)
-            values.append(value)
-        return tuple(values)
+    def decode(self, data, offset: int = 0) -> tuple:
+        """The key encoded at ``data[offset:]``."""
+        try:
+            if self._struct is not None:
+                return self._struct.unpack_from(data, offset)
+            pos = offset
+            values = []
+            for ctype in self.ctypes:
+                value, pos = _decode_value(ctype, data, pos)
+                values.append(value)
+            return tuple(values)
+        except (struct.error, UnicodeDecodeError) as err:
+            raise StorageError(f"undecodable key ({err})") from err
 
 
 def column_spec_from_strings(name: str, type_name: str, max_len: int, nullable: bool) -> Column:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,3 +254,100 @@ def test_clone_restore_roundtrip(payloads):
     page.insert_record(0, b"junk") if page.has_room_for(4) else None
     page.restore(image)
     assert list(page.records()) == survived
+
+
+# ---------------------------------------------------------------------------
+# Space accounting and header accessors against naive references
+# ---------------------------------------------------------------------------
+
+#: Header accessors and their field index in ``_HEADER``.
+_HEADER_ACCESSORS = {
+    "magic": 0, "page_type": 1, "flags": 2, "page_id": 3, "page_lsn": 4,
+    "last_image_lsn": 5, "object_id": 6, "index_id": 7, "level": 8,
+    "prev_page": 10, "next_page": 11, "slot_count": 12, "free_lower": 13,
+    "free_upper": 14, "mods_since_image": 15, "checksum": 16,
+}
+_SETTABLE = {
+    "flags": 0xFF, "page_lsn": 2**64 - 1, "last_image_lsn": 2**64 - 1,
+    "prev_page": 2**32 - 1, "next_page": 2**32 - 1, "mods_since_image": 2**16 - 1,
+    "checksum": 2**32 - 1,
+}
+
+
+def _reference_live_bytes(page: Page) -> int:
+    """Live record bytes by a plain walk of every slot."""
+    data = page.data
+    total = 0
+    for slot in range(page.slot_count):
+        (offset,) = struct.unpack_from("<H", data, len(data) - 2 * (slot + 1))
+        (length,) = struct.unpack_from("<H", data, offset)
+        total += 2 + length
+    return total
+
+
+def _check_accounting(page: Page) -> None:
+    from repro.storage.page import _HEADER
+
+    fields = _HEADER.unpack_from(page.data, 0)
+    for name, index in _HEADER_ACCESSORS.items():
+        assert getattr(page, name) == fields[index], name
+    live = _reference_live_bytes(page)
+    free = PAGE_SIZE - HEADER_SIZE - 2 * page.slot_count - live
+    assert page.live_bytes() == live
+    assert page.total_free() == free
+    for payload_len in (0, 1, free - 5, free - 4, free - 3, free + 1, PAGE_SIZE):
+        assert page.has_room_for(payload_len) == (2 + payload_len + 2 <= free), payload_len
+
+
+#: Small payloads, and ones whose u16 length has a non-zero high byte.
+_payloads = st.one_of(
+    st.binary(max_size=60), st.integers(250, 320).map(lambda n: bytes([n % 256]) * n)
+)
+_accounting_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 40), _payloads),
+        st.tuples(st.just("delete"), st.integers(0, 40), st.just(b"")),
+        st.tuples(st.just("grow"), st.integers(0, 40), _payloads.filter(len)),
+        st.tuples(st.just("shrink"), st.integers(0, 40), st.integers(0, 300)),
+        st.tuples(st.just("compact"), st.just(0), st.just(b"")),
+        st.tuples(st.just("set"), st.sampled_from(sorted(_SETTABLE)), st.integers(0, 2**16)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accounting_ops)
+def test_accounting_matches_a_slot_walk(ops):
+    """After every record op, live/total-free/has-room answers equal a
+    per-slot reference walk, and every header accessor equals the field
+    unpacked from the whole header."""
+    page = fresh_page()
+    model: list[bytes] = []
+    for op, pos, arg in ops:
+        if op == "insert":
+            slot = pos % (len(model) + 1)
+            if page.has_room_for(len(arg)):
+                page.insert_record(slot, arg)
+                model.insert(slot, arg)
+        elif op == "delete" and model:
+            slot = pos % len(model)
+            assert page.delete_record(slot) == model.pop(slot)
+        elif op == "grow" and model:
+            slot = pos % len(model)
+            payload = model[slot] + arg
+            if page.total_free() >= len(arg):
+                page.update_record(slot, payload)
+                model[slot] = payload
+        elif op == "shrink" and model:
+            slot = pos % len(model)
+            model[slot] = model[slot][: arg % (len(model[slot]) + 1)]
+            page.update_record(slot, model[slot])
+        elif op == "compact":
+            page.compact()
+        elif op == "set":
+            value = arg % (_SETTABLE[pos] + 1)
+            setattr(page, pos, value)
+            assert getattr(page, pos) == value
+        _check_accounting(page)
+    assert list(page.records()) == model

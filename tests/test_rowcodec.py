@@ -207,3 +207,173 @@ def test_codec_roundtrip_property(row):
 def test_key_codec_roundtrip_property(num, text):
     codec = KeyCodec((ColumnType.INT, ColumnType.STR))
     assert codec.decode(codec.encode((num, text))) == (num, text)
+
+
+# ---------------------------------------------------------------------------
+# Corrupt payloads fail typed, never as silently wrong values
+# ---------------------------------------------------------------------------
+
+
+def _int_str_schema() -> TableSchema:
+    return TableSchema(
+        "t", (Column("k", ColumnType.INT), Column("s", ColumnType.STR)), key=("k",)
+    )
+
+
+class TestCorruptRows:
+    def test_truncated_fixed_value_raises_storage_error(self):
+        codec = RowCodec(_int_str_schema())
+        payload = codec.encode((5, "hello"))
+        with pytest.raises(StorageError):
+            codec.decode(payload[:4])
+
+    def test_truncated_string_raises_instead_of_shortening(self):
+        codec = RowCodec(_int_str_schema())
+        payload = codec.encode((5, "hello"))
+        with pytest.raises(StorageError):
+            codec.decode(payload[:-2])
+
+    def test_truncated_string_length_prefix_raises(self):
+        codec = RowCodec(_int_str_schema())
+        payload = codec.encode((5, "hello"))
+        with pytest.raises(StorageError):
+            codec.decode(payload[: 1 + 8 + 1])
+
+    def test_invalid_utf8_raises_storage_error(self):
+        codec = RowCodec(_int_str_schema())
+        payload = bytearray(codec.encode((5, "hi")))
+        payload[-1] = 0xFF
+        with pytest.raises(StorageError):
+            codec.decode(bytes(payload))
+
+    def test_truncated_key_raises_on_the_fast_path(self):
+        codec = RowCodec(_int_str_schema())
+        payload = codec.encode((5, "hello"))
+        with pytest.raises(StorageError):
+            codec.decode_key(payload[:6])
+        # In place, the span's length bounds the key, not the buffer.
+        with pytest.raises(StorageError):
+            codec.decode_key(payload, 0, 6)
+
+    def test_truncated_key_raises_on_the_general_path(self):
+        schema = TableSchema(
+            "t", (Column("s", ColumnType.STR), Column("k", ColumnType.INT)), key=("k",)
+        )
+        codec = RowCodec(schema)
+        payload = codec.encode(("hello", 5))
+        with pytest.raises(StorageError):
+            codec.decode_key(payload[:-3])
+        with pytest.raises(StorageError):
+            codec.decode_key(payload[:4])
+
+    def test_truncated_separator_key_raises(self):
+        for ctypes in ((ColumnType.INT, ColumnType.INT), (ColumnType.INT, ColumnType.STR)):
+            codec = KeyCodec(ctypes)
+            with pytest.raises(StorageError):
+                codec.decode(codec.encode((1, 2 if ctypes[1] is ColumnType.INT else "ab"))[:-1])
+
+
+# ---------------------------------------------------------------------------
+# Key-only decode agrees with decoding the whole row
+# ---------------------------------------------------------------------------
+
+_VALUES = {
+    ColumnType.INT: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    ColumnType.FLOAT: st.floats(allow_nan=False),
+    ColumnType.STR: st.text(max_size=20),
+    ColumnType.BYTES: st.binary(max_size=20),
+    ColumnType.BOOL: st.booleans(),
+}
+
+#: Key layouts the fast and general decode_key paths must both get right.
+KEY_SCHEMAS = {
+    # Non-prefix key, fixed-width prefix: one unpack, then a reorder.
+    "non_prefix_fixed": TableSchema(
+        "a",
+        (
+            Column("a", ColumnType.INT),
+            Column("b", ColumnType.FLOAT),
+            Column("c", ColumnType.INT),
+            Column("d", ColumnType.STR, nullable=True),
+        ),
+        key=("c", "a"),
+    ),
+    # Non-prefix key with a var-len column before the last key column.
+    "non_prefix_varlen": TableSchema(
+        "b",
+        (
+            Column("a", ColumnType.INT),
+            Column("s", ColumnType.STR),
+            Column("c", ColumnType.INT),
+        ),
+        key=("c", "a"),
+    ),
+    # A nullable column before the last key column.
+    "nullable_before_key": TableSchema(
+        "c",
+        (
+            Column("a", ColumnType.INT),
+            Column("n", ColumnType.INT, nullable=True),
+            Column("k", ColumnType.BOOL),
+            Column("tail", ColumnType.BYTES, nullable=True),
+        ),
+        key=("a", "k"),
+    ),
+    # FLOAT and (possibly negative) INT key columns.
+    "float_int_key": TableSchema(
+        "d",
+        (
+            Column("f", ColumnType.FLOAT),
+            Column("i", ColumnType.INT),
+            Column("s", ColumnType.STR, nullable=True),
+        ),
+        key=("f", "i"),
+    ),
+    # The key is the whole row, var-len columns included.
+    "whole_row": TableSchema(
+        "e",
+        (
+            Column("s", ColumnType.STR),
+            Column("i", ColumnType.INT),
+            Column("raw", ColumnType.BYTES),
+        ),
+        key=("s", "i", "raw"),
+    ),
+    # The key is the whole row, all fixed width.
+    "whole_row_fixed": TableSchema(
+        "f",
+        (Column("i", ColumnType.INT), Column("b", ColumnType.BOOL)),
+        key=("i", "b"),
+    ),
+}
+
+
+def _rows(schema: TableSchema):
+    return st.tuples(
+        *(
+            st.one_of(st.none(), _VALUES[col.ctype]) if col.nullable else _VALUES[col.ctype]
+            for col in schema.columns
+        )
+    )
+
+
+@pytest.mark.parametrize("layout", list(KEY_SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decode_key_equals_key_of_decode(layout, data):
+    schema = KEY_SCHEMAS[layout]
+    codec = RowCodec(schema)
+    row = data.draw(_rows(schema))
+    payload = codec.encode(row)
+    key = schema.key_of(codec.decode(payload))
+    assert key == schema.key_of(row)
+    assert codec.decode_key(payload) == key
+    # In place, as a B-tree probe reads it from a page buffer.
+    before = data.draw(st.binary(max_size=12))
+    after = data.draw(st.binary(max_size=12))
+    buffer = bytearray(before + payload + after)
+    assert codec.decode_key(buffer, len(before), len(payload)) == key
+    key_codec = KeyCodec.for_schema(schema)
+    encoded = key_codec.encode(key)
+    assert key_codec.decode(encoded) == key
+    assert key_codec.decode(before + encoded, len(before)) == key
