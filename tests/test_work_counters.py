@@ -9,6 +9,7 @@ update decodes none, and a range scan decodes only the rows in range.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,16 +19,10 @@ from tests.conftest import ITEMS_SCHEMA
 ROWS = 1500
 
 
-class Counts:
-    def __init__(self) -> None:
-        self.decode = 0
-        self.decode_key = 0
-
-
 @pytest.fixture
-def counts(monkeypatch) -> Counts:
+def counts(monkeypatch) -> SimpleNamespace:
     """Counts every :class:`RowCodec` full and key-only decode."""
-    seen = Counts()
+    seen = SimpleNamespace(decode=0, decode_key=0)
     decode, decode_key = RowCodec.decode, RowCodec.decode_key
 
     def counting_decode(codec, *args):
