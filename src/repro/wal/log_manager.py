@@ -23,7 +23,6 @@ from repro.latch import Latch
 from repro.obs.registry import DEFAULT_BYTES_BUCKETS
 from repro.wal.lsn import FIRST_LSN, NULL_LSN, format_lsn
 from repro.wal.records import (
-    HEADER_SIZE,
     LOG_HEADER_MAGIC,
     ClrRecord,
     CommitRecord,
@@ -33,6 +32,7 @@ from repro.wal.records import (
     RecordHeader,
     RecordType,
     decode_record,
+    record_extent,
     unpack_header,
 )
 
@@ -355,8 +355,8 @@ class LogManager:
         """Largest record boundary in ``(from_lsn, limit_lsn]`` within
         ``max_bytes`` of ``from_lsn``.
 
-        Walks record headers only (each starts with its u32 total length),
-        so a shipper can frame batches without decoding bodies. Returns
+        Walks record headers only (:func:`record_extent`), so a shipper
+        can frame batches without decoding bodies. Returns
         ``from_lsn`` when not even one record fits the budget — the caller
         must then grow the budget rather than ship a torn record.
         """
@@ -367,9 +367,11 @@ class LogManager:
             )
             end = from_lsn
             while end < limit:
-                offset = end - self._base
-                total = int.from_bytes(self._data[offset : offset + 4], "little")
-                if total < HEADER_SIZE or end + total > limit:
+                try:
+                    total, _rtype = record_extent(
+                        self._data, end - self._base, limit - self._base
+                    )
+                except LogRecordDecodeError:
                     break
                 if end + total - from_lsn > max_bytes and end > from_lsn:
                     break
@@ -403,16 +405,7 @@ class LogManager:
             last_commit = NULL_LSN
             last_checkpoint = NULL_LSN
             while offset < len(data):
-                if offset + HEADER_SIZE > len(data):
-                    raise LogRecordDecodeError(
-                        f"ingest frame ends mid-header at byte {offset}"
-                    )
-                total = int.from_bytes(data[offset : offset + 4], "little")
-                if total < HEADER_SIZE or offset + total > len(data):
-                    raise LogRecordDecodeError(
-                        f"ingest frame ends mid-record at byte {offset}"
-                    )
-                rtype = data[offset + 4]
+                total, rtype = record_extent(data, offset)
                 if rtype == _COMMIT_TYPE:
                     last_commit = start_lsn + offset
                 elif rtype == _CHECKPOINT_BEGIN_TYPE:

@@ -21,6 +21,29 @@ other transactions may have shifted slots or structure modifications may
 have moved rows to other pages. Rollback lives in
 :mod:`repro.txn.manager`; the per-record payloads here (``key_bytes``,
 ``row``) are what it consumes.
+
+Wire format
+-----------
+A record is the fixed 42-byte ``_HEADER`` (length, type, flags, chain
+fields, object id, CRC-32) plus a body. Each record class declares its
+body once, as an ordered ``BODY = {field: kind}`` with
+``__slots__ = tuple(BODY)``. Fields are packed little-endian in ``BODY``
+order; each omitted constructor argument takes its kind's zero value:
+
+* ``U8``/``U16``/``U32``/``U64``/``F64``/``BOOL`` — fixed width
+  (``struct`` codes ``B H I Q d ?``); zero ``0``/``0.0``/``False``.
+* ``BLOB`` — u32 length + bytes; zero ``b""``.
+* ``OPT_BLOB`` — u8 present flag, then a ``BLOB``; zero ``None``.
+* ``PAIRS`` — u32 count + ``(u64, u64)`` pairs; zero ``()``.
+* ``RECORD`` — a nested record (a CLR's ``comp``) inside a ``BLOB``; no
+  zero value: omitting it raises :class:`WalError`.
+
+Header fields default to 0 (= ``NULL_LSN`` = ``NULL_PAGE``). From
+``BODY`` each class derives a keyword-only constructor and a plan that
+the one generic packer and unpacker below follow. The unpacker checks
+every length and count against the record's end and requires the body to
+fill the record exactly, so a malformed record raises
+:class:`LogRecordDecodeError` rather than decoding to wrong values.
 """
 
 from __future__ import annotations
@@ -28,19 +51,11 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
+from operator import attrgetter
+from typing import NamedTuple
 
-from repro.errors import (
-    LogRecordDecodeError,
-    MissingUndoInfoError,
-    WalError,
-)
-from repro.storage.page import (
-    NULL_PAGE,
-    Page,
-    PageType,
-    alloc_bitmap_geometry,
-    ever_bit_offset,
-)
+from repro.errors import LogRecordDecodeError, MissingUndoInfoError, WalError
+from repro.storage.page import Page, PageType, alloc_bitmap_geometry, ever_bit_offset
 from repro.wal.lsn import NULL_LSN, format_lsn
 
 #: Magic bytes opening the log stream (LSN space starts after them).
@@ -51,11 +66,16 @@ FLAG_SMO = 0x01
 #: Record flag: heap row (rollback tombstones instead of key lookup).
 FLAG_HEAP = 0x02
 
+#: total, type, flags, txn_id, prev_txn_lsn, page_id, prev_page_lsn,
+#: object_id, crc.
 _HEADER = struct.Struct("<IBBQQIQII")
 HEADER_SIZE = _HEADER.size  # 42 bytes
+#: The CRC is the header's last field, computed with itself zeroed.
+_CRC_AT = HEADER_SIZE - 4
+_CRC_ZERO = bytes(4)
 
 
-class RecordHeader:
+class RecordHeader(NamedTuple):
     """A decoded record header, without the body.
 
     The per-page back-chain (``prev_page_lsn``) and the per-transaction
@@ -65,39 +85,15 @@ class RecordHeader:
     (:meth:`repro.wal.log_manager.LogManager.read_many`).
     """
 
-    __slots__ = (
-        "lsn",
-        "total",
-        "record_type",
-        "flags",
-        "txn_id",
-        "prev_txn_lsn",
-        "page_id",
-        "prev_page_lsn",
-        "object_id",
-    )
-
-    def __init__(
-        self,
-        lsn: int,
-        total: int,
-        record_type: int,
-        flags: int,
-        txn_id: int,
-        prev_txn_lsn: int,
-        page_id: int,
-        prev_page_lsn: int,
-        object_id: int,
-    ) -> None:
-        self.lsn = lsn
-        self.total = total
-        self.record_type = record_type
-        self.flags = flags
-        self.txn_id = txn_id
-        self.prev_txn_lsn = prev_txn_lsn
-        self.page_id = page_id
-        self.prev_page_lsn = prev_page_lsn
-        self.object_id = object_id
+    lsn: int
+    total: int
+    record_type: int
+    flags: int
+    txn_id: int
+    prev_txn_lsn: int
+    page_id: int
+    prev_page_lsn: int
+    object_id: int
 
     def __repr__(self) -> str:
         return (
@@ -107,36 +103,35 @@ class RecordHeader:
         )
 
 
-def unpack_header(data, offset: int, lsn: int = NULL_LSN) -> RecordHeader:
-    """Decode only the fixed-size header of the record at ``offset``."""
-    if offset + HEADER_SIZE > len(data):
+def _header_at(data, offset: int, limit: int) -> tuple:
+    """The raw header fields of the record at ``offset``, after checking
+    that the whole record lies within ``data[:limit]``."""
+    if offset + HEADER_SIZE > limit:
         raise LogRecordDecodeError(f"truncated header at offset {offset}")
-    (
-        total,
-        rtype,
-        flags,
-        txn_id,
-        prev_txn_lsn,
-        page_id,
-        prev_page_lsn,
-        object_id,
-        _crc,
-    ) = _HEADER.unpack_from(data, offset)
-    if total < HEADER_SIZE or offset + total > len(data):
+    fields = _HEADER.unpack_from(data, offset)
+    total = fields[0]
+    if total < HEADER_SIZE or offset + total > limit:
         raise LogRecordDecodeError(
             f"truncated record at offset {offset} (claims {total} bytes)"
         )
-    return RecordHeader(
-        lsn=lsn,
-        total=total,
-        record_type=rtype,
-        flags=flags,
-        txn_id=txn_id,
-        prev_txn_lsn=prev_txn_lsn,
-        page_id=page_id,
-        prev_page_lsn=prev_page_lsn,
-        object_id=object_id,
-    )
+    return fields
+
+
+def record_extent(data, offset: int, limit: int | None = None) -> tuple[int, int]:
+    """``(total length, record type)`` of the record at ``offset``, read
+    from its header alone (no CRC check, no body decode).
+
+    Raises :class:`LogRecordDecodeError` unless the whole record lies
+    within ``data[:limit]`` (default: all of ``data``) — how the log
+    manager frames shipped batches and validates ingested ones.
+    """
+    fields = _header_at(data, offset, len(data) if limit is None else limit)
+    return fields[0], fields[1]
+
+
+def unpack_header(data, offset: int, lsn: int = NULL_LSN) -> RecordHeader:
+    """Decode only the fixed-size header of the record at ``offset``."""
+    return RecordHeader(lsn, *_header_at(data, offset, len(data))[:-1])
 
 
 class RecordType(enum.IntEnum):
@@ -160,81 +155,156 @@ class RecordType(enum.IntEnum):
     CLR = 16
 
 
-class _Writer:
-    """Little-endian body serializer."""
+# ---------------------------------------------------------------------------
+# Body field kinds and the generic body codec
+# ---------------------------------------------------------------------------
 
-    def __init__(self) -> None:
-        self.buf = bytearray()
+U8, U16, U32, U64, F64, BOOL = "B", "H", "I", "Q", "d", "?"
+BLOB, OPT_BLOB, PAIRS, RECORD = "blob", "opt_blob", "pairs", "record"
 
-    def u8(self, v: int) -> None:
-        self.buf += v.to_bytes(1, "little")
+#: Each kind's zero value: the constructor default of an omitted field.
+ZERO = {U8: 0, U16: 0, U32: 0, U64: 0, F64: 0.0, BOOL: False}
+ZERO.update({BLOB: b"", OPT_BLOB: None, PAIRS: (), RECORD: None})
 
-    def u16(self, v: int) -> None:
-        self.buf += v.to_bytes(2, "little")
+_U32 = struct.Struct("<I")
+_PAIR = struct.Struct("<QQ")
 
-    def u32(self, v: int) -> None:
-        self.buf += v.to_bytes(4, "little")
+#: Plan step kinds for fixed-width fields: one field, or a run of
+#: adjacent ones sharing a single precompiled struct.
+_ONE, _RUN = "one", "run"
 
-    def u64(self, v: int) -> None:
-        self.buf += v.to_bytes(8, "little")
+#: Header fields every record carries, in wire order after the type.
+_HEADER_FIELDS = ("flags", "txn_id", "prev_txn_lsn", "page_id", "prev_page_lsn", "object_id")
 
-    def f64(self, v: float) -> None:
-        self.buf += struct.pack("<d", v)
 
-    def blob(self, b: bytes) -> None:
-        self.u32(len(b))
-        self.buf += b
+def _plan(body: dict) -> tuple:
+    """Compile ``BODY`` into ``(kind, name(s), struct, getter)`` steps."""
+    steps = []
+    run: list[str] = []
 
-    def opt_blob(self, b: bytes | None) -> None:
-        if b is None:
-            self.u8(0)
+    def close_run() -> None:
+        if run:
+            fmt = struct.Struct("<" + "".join(body[name] for name in run))
+            kind, names = (_ONE, run[0]) if len(run) == 1 else (_RUN, tuple(run))
+            steps.append((kind, names, fmt, attrgetter(*run)))
+            run.clear()
+
+    for name, kind in body.items():
+        if kind not in ZERO:
+            raise WalError(f"unknown body kind {kind!r} for field {name!r}")
+        if kind in (BLOB, OPT_BLOB, PAIRS, RECORD):
+            close_run()
+            steps.append((kind, name, None, attrgetter(name)))
         else:
-            self.u8(1)
-            self.blob(b)
+            run.append(name)
+    close_run()
+    return tuple(steps)
 
 
-class _Reader:
-    """Little-endian body deserializer."""
+def _make_init(cls):
+    """A keyword-only ``__init__`` for ``cls``, generated from its
+    ``BODY`` the way :mod:`dataclasses` builds one (a loop over
+    ``**kwargs`` would cost every record construction on the insert
+    path)."""
+    body = cls.BODY
+    params = [f"{name}={ZERO[kind]!r}" for name, kind in body.items()]
+    params += [f"{name}=0" for name in _HEADER_FIELDS]
+    lines = ["self.lsn = NULL_LSN"]
+    lines += [f"self.{name} = {name}" for name in (*_HEADER_FIELDS, *body)]
+    lines += [
+        f"if {name} is None: raise WalError('{cls.__name__} requires {name}')"
+        for name, kind in body.items()
+        if kind is RECORD
+    ]
+    source = f"def __init__(self, *, {', '.join(params)}):\n" + "".join(
+        f"    {line}\n" for line in lines
+    )
+    namespace: dict = {}
+    exec(source, {"NULL_LSN": NULL_LSN, "WalError": WalError}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
 
-    def u8(self) -> int:
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
+def _pack_body(rec, out: bytearray) -> None:
+    """Append ``rec``'s body to ``out``, field by field per its plan."""
+    for kind, _name, fmt, get in rec._PLAN:
+        if kind is _ONE:
+            out += fmt.pack(get(rec))
+        elif kind is _RUN:
+            out += fmt.pack(*get(rec))
+        else:
+            value = get(rec)
+            if kind is OPT_BLOB:
+                out.append(value is not None)
+                if value is None:
+                    continue
+            elif kind is PAIRS:
+                out += _U32.pack(len(value))
+                for pair in value:
+                    out += _PAIR.pack(*pair)
+                continue
+            elif kind is RECORD:
+                value = value.serialize()
+            out += _U32.pack(len(value))
+            out += value
 
-    def u16(self) -> int:
-        v = int.from_bytes(self.data[self.pos : self.pos + 2], "little")
-        self.pos += 2
-        return v
 
-    def u32(self) -> int:
-        v = int.from_bytes(self.data[self.pos : self.pos + 4], "little")
-        self.pos += 4
-        return v
+def _unpack_body(rec, mv: memoryview, pos: int, end: int) -> None:
+    """Set ``rec``'s body fields from ``mv[pos:end]`` per its plan.
 
-    def u64(self) -> int:
-        v = int.from_bytes(self.data[self.pos : self.pos + 8], "little")
-        self.pos += 8
-        return v
-
-    def f64(self) -> float:
-        (v,) = struct.unpack_from("<d", self.data, self.pos)
-        self.pos += 8
-        return v
-
-    def blob(self) -> bytes:
-        n = self.u32()
-        b = bytes(self.data[self.pos : self.pos + n])
-        self.pos += n
-        return b
-
-    def opt_blob(self) -> bytes | None:
-        if self.u8() == 0:
-            return None
-        return self.blob()
+    Every step checks its extent against ``end`` *before* reading or
+    allocating, and the body must end exactly at ``end``.
+    """
+    for kind, name, fmt, _get in rec._PLAN:
+        if kind is _ONE:
+            nxt = pos + fmt.size
+            if nxt > end:
+                break
+            setattr(rec, name, fmt.unpack_from(mv, pos)[0])
+        elif kind is _RUN:
+            nxt = pos + fmt.size
+            if nxt > end:
+                break
+            for field, value in zip(name, fmt.unpack_from(mv, pos), strict=True):
+                setattr(rec, field, value)
+        elif kind is OPT_BLOB and pos < end and not mv[pos]:
+            nxt = pos + 1
+            setattr(rec, name, None)
+        else:
+            if kind is OPT_BLOB:
+                pos += 1
+            start = pos + 4
+            if start > end:
+                break
+            (count,) = _U32.unpack_from(mv, pos)
+            nxt = start + (count * _PAIR.size if kind is PAIRS else count)
+            if nxt > end:
+                break
+            if kind is PAIRS:
+                value = tuple(_PAIR.iter_unpack(mv[start:nxt]))
+            elif kind is RECORD:
+                # Through the module global: a nested decode is a decode.
+                value, comp_end = decode_record(mv, start)
+                if comp_end != nxt:
+                    raise LogRecordDecodeError(
+                        f"{type(rec).__name__}.{name}: nested record ends at "
+                        f"{comp_end}, its length field says {nxt}"
+                    )
+            else:
+                value = mv[start:nxt].tobytes()
+            setattr(rec, name, value)
+        pos = nxt
+    else:
+        if pos == end:
+            return
+        raise LogRecordDecodeError(
+            f"{type(rec).__name__} body ends {end - pos} bytes before the record"
+        )
+    # A ``break`` above: the field runs past the record's end.
+    raise LogRecordDecodeError(
+        f"{type(rec).__name__}.{name} runs past the record end at {end}"
+    )
 
 
 _REGISTRY: dict[int, type] = {}
@@ -244,6 +314,8 @@ class LogRecord:
     """Base class: common header fields plus redo/undo protocol."""
 
     TYPE: RecordType
+    #: Ordered ``{field: kind}`` body declaration (see the module docstring).
+    BODY: dict = {}
     #: Participates in a page's modification chain (has a meaningful
     #: page_id / prev_page_lsn). Note page 0 (boot) is a real page, so this
     #: cannot be inferred from ``page_id != 0``.
@@ -251,35 +323,13 @@ class LogRecord:
     #: Transaction rollback generates a CLR for this record.
     UNDOABLE_IN_ROLLBACK = False
 
-    __slots__ = (
-        "lsn",
-        "flags",
-        "txn_id",
-        "prev_txn_lsn",
-        "page_id",
-        "prev_page_lsn",
-        "object_id",
-    )
-
-    def __init__(
-        self,
-        txn_id: int = 0,
-        prev_txn_lsn: int = NULL_LSN,
-        page_id: int = 0,
-        prev_page_lsn: int = NULL_LSN,
-        object_id: int = 0,
-        flags: int = 0,
-    ) -> None:
-        self.lsn = NULL_LSN
-        self.txn_id = txn_id
-        self.prev_txn_lsn = prev_txn_lsn
-        self.page_id = page_id
-        self.prev_page_lsn = prev_page_lsn
-        self.object_id = object_id
-        self.flags = flags
+    __slots__ = ("lsn", *_HEADER_FIELDS)
+    _PLAN = ()
 
     def __init_subclass__(cls, **kw) -> None:
         super().__init_subclass__(**kw)
+        cls._PLAN = _plan(cls.BODY)
+        cls.__init__ = _make_init(cls)
         if hasattr(cls, "TYPE"):
             _REGISTRY[int(cls.TYPE)] = cls
 
@@ -293,34 +343,15 @@ class LogRecord:
 
     # -- serialization -------------------------------------------------
 
-    def pack_body(self, w: _Writer) -> None:
-        """Append the type-specific body (override in subclasses)."""
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        """Parse the type-specific body into constructor kwargs."""
-        return {}
-
     def serialize(self) -> bytes:
-        w = _Writer()
-        self.pack_body(w)
-        body = bytes(w.buf)
-        total = HEADER_SIZE + len(body)
-        header = _HEADER.pack(
-            total,
-            int(self.TYPE),
-            self.flags,
-            self.txn_id,
-            self.prev_txn_lsn,
-            self.page_id,
-            self.prev_page_lsn,
-            self.object_id,
-            0,
+        out = bytearray(HEADER_SIZE)
+        _pack_body(self, out)
+        _HEADER.pack_into(
+            out, 0, len(out), self.TYPE, self.flags, self.txn_id, self.prev_txn_lsn,
+            self.page_id, self.prev_page_lsn, self.object_id, 0,
         )
-        crc = zlib.crc32(header) & 0xFFFFFFFF
-        crc = zlib.crc32(body, crc) & 0xFFFFFFFF
-        header = header[:-4] + crc.to_bytes(4, "little")
-        return header + body
+        _U32.pack_into(out, _CRC_AT, zlib.crc32(out))
+        return bytes(out)
 
     # -- redo / physical undo -------------------------------------------
 
@@ -344,48 +375,37 @@ class LogRecord:
         )
 
 
+LogRecord.__init__ = _make_init(LogRecord)
+
+
 def decode_record(data, offset: int, lsn: int = NULL_LSN) -> tuple[LogRecord, int]:
     """Decode one record at ``offset``; returns (record, end offset).
 
-    Raises :class:`LogRecordDecodeError` on truncation or CRC mismatch —
-    the signal recovery uses to find the end of a torn log tail.
+    Raises :class:`LogRecordDecodeError` on truncation, CRC mismatch, an
+    unknown type, or a body that does not exactly fill the record — the
+    signal recovery uses to find the end of a torn log tail.
     """
-    if offset + HEADER_SIZE > len(data):
-        raise LogRecordDecodeError(f"truncated header at offset {offset}")
-    (
-        total,
-        rtype,
-        flags,
-        txn_id,
-        prev_txn_lsn,
-        page_id,
-        prev_page_lsn,
-        object_id,
-        crc,
-    ) = _HEADER.unpack_from(data, offset)
-    if total < HEADER_SIZE or offset + total > len(data):
-        raise LogRecordDecodeError(
-            f"truncated record at offset {offset} (claims {total} bytes)"
-        )
-    raw = bytes(data[offset : offset + total])
-    check = raw[: HEADER_SIZE - 4] + b"\0\0\0\0" + raw[HEADER_SIZE:]
-    if zlib.crc32(check) & 0xFFFFFFFF != crc:
-        raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
+    fields = _header_at(data, offset, len(data))
+    total, rtype, flags, txn_id, prev_txn_lsn, page_id, prev_page_lsn, object_id, crc = fields
+    end = offset + total
     cls = _REGISTRY.get(rtype)
-    if cls is None:
-        raise LogRecordDecodeError(f"unknown record type {rtype} at {offset}")
-    kwargs = cls.unpack_body(_Reader(raw, HEADER_SIZE))
-    rec = cls(
-        txn_id=txn_id,
-        prev_txn_lsn=prev_txn_lsn,
-        page_id=page_id,
-        prev_page_lsn=prev_page_lsn,
-        object_id=object_id,
-        flags=flags,
-        **kwargs,
-    )
-    rec.lsn = lsn
-    return rec, offset + total
+    with memoryview(data) as mv:
+        check = zlib.crc32(mv[offset : offset + _CRC_AT])
+        check = zlib.crc32(_CRC_ZERO, check)
+        if zlib.crc32(mv[offset + HEADER_SIZE : end], check) != crc:
+            raise LogRecordDecodeError(f"CRC mismatch at offset {offset}")
+        if cls is None:
+            raise LogRecordDecodeError(f"unknown record type {rtype} at {offset}")
+        rec = object.__new__(cls)
+        rec.lsn = lsn
+        rec.flags = flags
+        rec.txn_id = txn_id
+        rec.prev_txn_lsn = prev_txn_lsn
+        rec.page_id = page_id
+        rec.prev_page_lsn = prev_page_lsn
+        rec.object_id = object_id
+        _unpack_body(rec, mv, offset + HEADER_SIZE, end)
+    return rec, end
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +425,8 @@ class CommitRecord(LogRecord):
     search (section 5.1)."""
 
     TYPE = RecordType.COMMIT
-    __slots__ = ("wall_clock",)
-
-    def __init__(self, wall_clock: float = 0.0, **kw) -> None:
-        super().__init__(**kw)
-        self.wall_clock = wall_clock
-
-    def pack_body(self, w: _Writer) -> None:
-        w.f64(self.wall_clock)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"wall_clock": r.f64()}
+    BODY = {"wall_clock": F64}
+    __slots__ = tuple(BODY)
 
 
 class AbortRecord(LogRecord):
@@ -432,58 +442,21 @@ class CheckpointBeginRecord(LogRecord):
     table (consumed by as-of snapshot recovery's analysis pass)."""
 
     TYPE = RecordType.CHECKPOINT_BEGIN
-    __slots__ = ("wall_clock", "prev_checkpoint_lsn", "active_txns")
-
-    def __init__(
-        self,
-        wall_clock: float = 0.0,
-        prev_checkpoint_lsn: int = NULL_LSN,
-        active_txns: tuple = (),
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.wall_clock = wall_clock
-        self.prev_checkpoint_lsn = prev_checkpoint_lsn
-        #: tuple of (txn_id, last_lsn) pairs.
-        self.active_txns = tuple(active_txns)
-
-    def pack_body(self, w: _Writer) -> None:
-        w.f64(self.wall_clock)
-        w.u64(self.prev_checkpoint_lsn)
-        w.u32(len(self.active_txns))
-        for txn_id, last_lsn in self.active_txns:
-            w.u64(txn_id)
-            w.u64(last_lsn)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        wall = r.f64()
-        prev = r.u64()
-        count = r.u32()
-        active = tuple((r.u64(), r.u64()) for _ in range(count))
-        return {
-            "wall_clock": wall,
-            "prev_checkpoint_lsn": prev,
-            "active_txns": active,
-        }
+    BODY = {
+        "wall_clock": F64,
+        "prev_checkpoint_lsn": U64,
+        #: (txn_id, last_lsn) pairs.
+        "active_txns": PAIRS,
+    }
+    __slots__ = tuple(BODY)
 
 
 class CheckpointEndRecord(LogRecord):
     """Checkpoint completion marker."""
 
     TYPE = RecordType.CHECKPOINT_END
-    __slots__ = ("begin_lsn",)
-
-    def __init__(self, begin_lsn: int = NULL_LSN, **kw) -> None:
-        super().__init__(**kw)
-        self.begin_lsn = begin_lsn
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u64(self.begin_lsn)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"begin_lsn": r.u64()}
+    BODY = {"begin_lsn": U64}
+    __slots__ = tuple(BODY)
 
 
 # ---------------------------------------------------------------------------
@@ -503,40 +476,14 @@ class FormatPageRecord(LogRecord):
     TYPE = RecordType.FORMAT_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("page_type", "index_id", "level", "prev_page", "next_page")
-
-    def __init__(
-        self,
-        page_type: int = PageType.UNFORMATTED,
-        index_id: int = 0,
-        level: int = 0,
-        prev_page: int = NULL_PAGE,
-        next_page: int = NULL_PAGE,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.page_type = int(page_type)
-        self.index_id = index_id
-        self.level = level
-        self.prev_page = prev_page
-        self.next_page = next_page
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u8(self.page_type)
-        w.u16(self.index_id)
-        w.u8(self.level)
-        w.u32(self.prev_page)
-        w.u32(self.next_page)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "page_type": r.u8(),
-            "index_id": r.u16(),
-            "level": r.u8(),
-            "prev_page": r.u32(),
-            "next_page": r.u32(),
-        }
+    BODY = {
+        "page_type": U8,
+        "index_id": U16,
+        "level": U8,
+        "prev_page": U32,
+        "next_page": U32,
+    }
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.format(
@@ -569,18 +516,8 @@ class PreformatPageRecord(LogRecord):
     TYPE = RecordType.PREFORMAT_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = False
-    __slots__ = ("image",)
-
-    def __init__(self, image: bytes = b"", **kw) -> None:
-        super().__init__(**kw)
-        self.image = image
-
-    def pack_body(self, w: _Writer) -> None:
-        w.blob(self.image)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"image": r.blob()}
+    BODY = {"image": BLOB}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         """No page change: the record only preserves history."""
@@ -600,20 +537,8 @@ class PageImageRecord(LogRecord):
     TYPE = RecordType.PAGE_IMAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = False
-    __slots__ = ("image", "prev_image_lsn")
-
-    def __init__(self, image: bytes = b"", prev_image_lsn: int = NULL_LSN, **kw) -> None:
-        super().__init__(**kw)
-        self.image = image
-        self.prev_image_lsn = prev_image_lsn
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u64(self.prev_image_lsn)
-        w.blob(self.image)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"prev_image_lsn": r.u64(), "image": r.blob()}
+    BODY = {"prev_image_lsn": U64, "image": BLOB}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.restore(self.image)
@@ -631,22 +556,8 @@ class DeformatPageRecord(LogRecord):
 
     TYPE = RecordType.DEFORMAT_PAGE
     IS_PAGE_MOD = True
-    __slots__ = ("page_type", "index_id", "level")
-
-    def __init__(self, page_type: int = 0, index_id: int = 0, level: int = 0, **kw) -> None:
-        super().__init__(**kw)
-        self.page_type = page_type
-        self.index_id = index_id
-        self.level = level
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u8(self.page_type)
-        w.u16(self.index_id)
-        w.u8(self.level)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"page_type": r.u8(), "index_id": r.u16(), "level": r.u8()}
+    BODY = {"page_type": U8, "index_id": U16, "level": U8}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.deformat()
@@ -676,22 +587,8 @@ class InsertRowRecord(LogRecord):
     TYPE = RecordType.INSERT_ROW
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("slot", "row", "key_bytes")
-
-    def __init__(self, slot: int = 0, row: bytes = b"", key_bytes: bytes = b"", **kw) -> None:
-        super().__init__(**kw)
-        self.slot = slot
-        self.row = row
-        self.key_bytes = key_bytes
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u16(self.slot)
-        w.blob(self.row)
-        w.blob(self.key_bytes)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"slot": r.u16(), "row": r.blob(), "key_bytes": r.blob()}
+    BODY = {"slot": U16, "row": BLOB, "key_bytes": BLOB}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.insert_record(self.slot, self.row)
@@ -714,36 +611,8 @@ class DeleteRowRecord(LogRecord):
     TYPE = RecordType.DELETE_ROW
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("slot", "row", "key_bytes", "pair_lsn")
-
-    def __init__(
-        self,
-        slot: int = 0,
-        row: bytes | None = None,
-        key_bytes: bytes = b"",
-        pair_lsn: int = NULL_LSN,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.slot = slot
-        self.row = row
-        self.key_bytes = key_bytes
-        self.pair_lsn = pair_lsn
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u16(self.slot)
-        w.opt_blob(self.row)
-        w.blob(self.key_bytes)
-        w.u64(self.pair_lsn)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "slot": r.u16(),
-            "row": r.opt_blob(),
-            "key_bytes": r.blob(),
-            "pair_lsn": r.u64(),
-        }
+    BODY = {"slot": U16, "row": OPT_BLOB, "key_bytes": BLOB, "pair_lsn": U64}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.delete_record(self.slot)
@@ -771,36 +640,8 @@ class UpdateRowRecord(LogRecord):
     TYPE = RecordType.UPDATE_ROW
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("slot", "old", "new", "key_bytes")
-
-    def __init__(
-        self,
-        slot: int = 0,
-        old: bytes | None = None,
-        new: bytes = b"",
-        key_bytes: bytes = b"",
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.slot = slot
-        self.old = old
-        self.new = new
-        self.key_bytes = key_bytes
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u16(self.slot)
-        w.opt_blob(self.old)
-        w.blob(self.new)
-        w.blob(self.key_bytes)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "slot": r.u16(),
-            "old": r.opt_blob(),
-            "new": r.blob(),
-            "key_bytes": r.blob(),
-        }
+    BODY = {"slot": U16, "old": OPT_BLOB, "new": BLOB, "key_bytes": BLOB}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.update_record(self.slot, self.new)
@@ -819,36 +660,8 @@ class SetLinksRecord(LogRecord):
     TYPE = RecordType.SET_LINKS
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("old_prev", "old_next", "new_prev", "new_next")
-
-    def __init__(
-        self,
-        old_prev: int = NULL_PAGE,
-        old_next: int = NULL_PAGE,
-        new_prev: int = NULL_PAGE,
-        new_next: int = NULL_PAGE,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.old_prev = old_prev
-        self.old_next = old_next
-        self.new_prev = new_prev
-        self.new_next = new_next
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u32(self.old_prev)
-        w.u32(self.old_next)
-        w.u32(self.new_prev)
-        w.u32(self.new_next)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "old_prev": r.u32(),
-            "old_next": r.u32(),
-            "new_prev": r.u32(),
-            "new_next": r.u32(),
-        }
+    BODY = {"old_prev": U32, "old_next": U32, "new_prev": U32, "new_next": U32}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         page.prev_page = self.new_prev
@@ -886,20 +699,8 @@ class AllocPageRecord(LogRecord):
     TYPE = RecordType.ALLOC_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("target_page", "was_ever_allocated")
-
-    def __init__(self, target_page: int = 0, was_ever_allocated: bool = False, **kw) -> None:
-        super().__init__(**kw)
-        self.target_page = target_page
-        self.was_ever_allocated = was_ever_allocated
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u32(self.target_page)
-        w.u8(1 if self.was_ever_allocated else 0)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"target_page": r.u32(), "was_ever_allocated": bool(r.u8())}
+    BODY = {"target_page": U32, "was_ever_allocated": BOOL}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         alloc_bit, ever_bit = _alloc_bit_indexes(page, self.page_id, self.target_page)
@@ -924,20 +725,8 @@ class DeallocPageRecord(LogRecord):
     TYPE = RecordType.DEALLOC_PAGE
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = True
-    __slots__ = ("target_page", "clear_ever")
-
-    def __init__(self, target_page: int = 0, clear_ever: bool = False, **kw) -> None:
-        super().__init__(**kw)
-        self.target_page = target_page
-        self.clear_ever = clear_ever
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u32(self.target_page)
-        w.u8(1 if self.clear_ever else 0)
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {"target_page": r.u32(), "clear_ever": bool(r.u8())}
+    BODY = {"target_page": U32, "clear_ever": BOOL}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         alloc_bit, ever_bit = _alloc_bit_indexes(page, self.page_id, self.target_page)
@@ -975,37 +764,8 @@ class ClrRecord(LogRecord):
     TYPE = RecordType.CLR
     IS_PAGE_MOD = True
     UNDOABLE_IN_ROLLBACK = False  # CLRs are never compensated themselves
-    __slots__ = ("compensated_lsn", "undo_next_lsn", "comp")
-
-    def __init__(
-        self,
-        compensated_lsn: int = NULL_LSN,
-        undo_next_lsn: int = NULL_LSN,
-        comp: LogRecord | None = None,
-        comp_bytes: bytes | None = None,
-        **kw,
-    ) -> None:
-        super().__init__(**kw)
-        self.compensated_lsn = compensated_lsn
-        self.undo_next_lsn = undo_next_lsn
-        if comp is None and comp_bytes is not None:
-            comp, _ = decode_record(comp_bytes, 0)
-        if comp is None:
-            raise WalError("CLR requires a compensation operation")
-        self.comp = comp
-
-    def pack_body(self, w: _Writer) -> None:
-        w.u64(self.compensated_lsn)
-        w.u64(self.undo_next_lsn)
-        w.blob(self.comp.serialize())
-
-    @classmethod
-    def unpack_body(cls, r: _Reader) -> dict:
-        return {
-            "compensated_lsn": r.u64(),
-            "undo_next_lsn": r.u64(),
-            "comp_bytes": r.blob(),
-        }
+    BODY = {"compensated_lsn": U64, "undo_next_lsn": U64, "comp": RECORD}
+    __slots__ = tuple(BODY)
 
     def redo(self, page: Page, fetch=None) -> None:
         self.comp.redo(page, fetch)
