@@ -10,7 +10,7 @@ total crosses the (flat) restore cost.
 
 from __future__ import annotations
 
-from repro.backup import restore_point_in_time, take_full_backup
+from repro.archive import restore_point_in_time, take_backup
 from repro.bench import ReportTable, save_results
 from repro.bench.harness import BENCH_SCALE, build_tpcc, make_perf_env
 from repro.sim.device import SLC_SSD
@@ -54,7 +54,7 @@ SCOPES = (
 def run_sec64() -> dict:
     env = make_perf_env(SLC_SSD)
     engine, db, driver = build_tpcc(env, BENCH_SCALE, filler_pages=2500, name="tpcc64")
-    backup = take_full_backup(db)
+    backup = take_backup(db)
     driver.run_for(4.0 * 60.0)
     target = env.clock.now() - 3.0 * 60.0
 

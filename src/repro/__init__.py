@@ -5,7 +5,8 @@ A from-scratch Python reproduction of Talius, Dhamankar, Dumitrache &
 Kodavalla (VLDB 2012): a miniature ARIES storage engine extended with
 page-oriented physical undo over the transaction log, as-of database
 snapshots backed by sparse side files, retention-bounded time travel, and
-the backup/restore baseline the paper compares against.
+the backup/restore baseline the paper compares against (``repro.archive``:
+one backup type, one restore recipe over the retained or archived log).
 
 Quickstart::
 
@@ -28,7 +29,7 @@ Quickstart::
     rows = list(snap.scan("items"))              # the table is back
 """
 
-from repro.archive import ArchiveStore, IncrementalBackup, LogArchiver
+from repro.archive import ArchiveStore, Backup, LogArchiver
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.chaos import (
     FailoverCoordinator,
@@ -92,7 +93,7 @@ __all__ = [
     "LogShipper",
     "ArchiveStore",
     "LogArchiver",
-    "IncrementalBackup",
+    "Backup",
     "FaultInjector",
     "FaultRule",
     "RetryPolicy",

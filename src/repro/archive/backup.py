@@ -1,16 +1,21 @@
-"""Incremental page backups: copy only what changed since the last one.
+"""Page backups: full, or incremental since the chain's previous member.
 
-The paper's restore baseline pays for the whole database regardless of the
-target; incrementals shrink both the media cost and the roll-forward span.
-An :class:`IncrementalBackup` copies every allocated page whose
+A :class:`Backup` is a checkpoint-consistent copy of a database's pages,
+stamped with the checkpoint LSN a restore's roll-forward starts from. A
+*full* backup copies every allocated page (boot and allocation maps
+included). An *incremental* copies every allocated page whose
 ``page_lsn`` is above the previous backup's LSN — LSNs order all
 modifications totally, so "changed since the chain's last member" is a
 single header comparison per page. The chain full → inc → inc is what the
 restore planner lays down before rolling the archived log forward.
 
-Finding the changed pages still scans the whole allocated set (this
-engine keeps no differential map), so an incremental's *read* cost tracks
-database size while its *write* cost tracks churn — the asymmetry
+Reading the pages is priced as sequential I/O on the data device and
+writing the backup as sequential I/O too — the paper's point that "the
+process of generating backups of large databases can impact the user
+workload" falls straight out of the device-time accounting. Finding an
+incremental's changed pages still scans the whole allocated set (this
+engine keeps no differential map), so its *read* cost tracks database
+size while its *write* cost tracks churn — the asymmetry
 ``benchmarks/bench_archive.py`` measures.
 """
 
@@ -18,63 +23,67 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backup.backup import FullBackup
+from repro.config import DatabaseConfig
 from repro.storage.page import Page
 
 
 @dataclass
-class IncrementalBackup:
-    """Pages modified since the chain's previous backup."""
+class Backup:
+    """A checkpoint-consistent page-level copy of one database."""
 
     source_name: str
-    page_size: int
-    #: Checkpoint LSN this incremental is consistent with.
+    #: Checkpoint LSN the backup is consistent with; roll-forward replays
+    #: the log from here.
     backup_lsn: int
-    #: ``backup_lsn`` of the chain member this one diffs against.
-    base_lsn: int
     taken_wall: float
-    pages: dict[int, bytes] = field(default_factory=dict, repr=False)
-    config: object | None = field(default=None, repr=False)
+    #: Source database configuration, so an archive restore can rebuild
+    #: the database even when the source no longer exists.
+    config: DatabaseConfig
+    pages: dict[int, bytes] = field(default_factory=dict)
+    #: ``backup_lsn`` of the chain member an incremental diffs against;
+    #: ``None`` for a full backup.
+    base_lsn: int | None = None
 
     @property
     def size_bytes(self) -> int:
-        return len(self.pages) * self.page_size
+        return len(self.pages) * self.config.page_size
 
     def __repr__(self) -> str:
+        kind = "full" if self.base_lsn is None else f"base={self.base_lsn:#x}"
         return (
-            f"IncrementalBackup(of={self.source_name!r}, "
-            f"pages={len(self.pages)}, lsn={self.backup_lsn:#x}, "
-            f"base={self.base_lsn:#x})"
+            f"Backup({kind}, of={self.source_name!r}, "
+            f"pages={len(self.pages)}, lsn={self.backup_lsn:#x})"
         )
 
 
-def take_incremental_backup(
-    db, base: FullBackup | IncrementalBackup, *, charge_media: bool = True
-) -> IncrementalBackup:
-    """Back up every page of ``db`` modified since ``base`` was taken.
+def take_backup(db, base: Backup | None = None, *, charge_media: bool = True) -> Backup:
+    """Back up ``db``: every allocated page, or with ``base`` only the
+    pages modified since ``base`` was taken.
 
-    Checkpoints first (so the on-disk state is consistent with the new
-    ``backup_lsn``), scans all allocated pages sequentially, and keeps the
-    ones whose ``page_lsn`` exceeds ``base.backup_lsn``. Writing the
-    backup media is charged for the kept pages only —
-    ``charge_media=False`` when the caller lands the backup on its own
-    priced medium (the archive store).
+    Checkpoints first (making the on-disk state consistent with the new
+    ``backup_lsn``), then streams every allocated page out and the kept
+    ones into the backup. ``charge_media=False`` skips the backup-media
+    write charge — used when the caller lands the backup on its own
+    priced medium (the archive store), which would otherwise be billed
+    twice.
     """
     backup_lsn = db.checkpoint()
     page_ids = db.alloc.allocated_page_ids()
-    backup = IncrementalBackup(
+    backup = Backup(
         source_name=db.name,
-        page_size=db.config.page_size,
         backup_lsn=backup_lsn,
-        base_lsn=base.backup_lsn,
         taken_wall=db.env.clock.now(),
         config=db.config,
+        base_lsn=None if base is None else base.backup_lsn,
     )
     pages = db.file_manager.read_sequential(page_ids)
     for page_id, data in zip(page_ids, pages, strict=True):
-        page = Page(data)
-        if not page.is_formatted() or page.page_lsn > base.backup_lsn:
-            backup.pages[page_id] = bytes(data)
+        if base is not None:
+            page = Page(data)
+            if page.is_formatted() and page.page_lsn <= base.backup_lsn:
+                continue
+        backup.pages[page_id] = bytes(data)
+    # Writing the backup media is a sequential stream of the same volume.
     if charge_media:
         db.env.data_device.write_seq(backup.size_bytes)
         db.env.stats.backup_write_bytes += backup.size_bytes

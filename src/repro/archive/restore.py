@@ -1,28 +1,183 @@
-"""Archive restore: materialize any archived time, past retention.
+"""Restore: lay backup pages down, roll the log forward, undo in-flight work.
 
-The primary's retention window bounds what page-oriented undo can reach;
-the archive tier has no such bound. A restore plans the cheapest path to
-the target's SplitLSN — newest full backup, the incrementals chained onto
-it, then roll the *archived* log forward — in the FineLine / instant-
-restore spirit: redo from an archived log replaces ever touching the
-(possibly long gone) primary media.
+This is the workflow the paper's introduction describes as the only
+traditional way to recover from a user error: restore the baseline
+backup, replay the transaction log up to a point just before the
+mistake, undo transactions in flight at that point, then extract the
+data. Every step's cost is charged (sequential page copy, sequential log
+scan, random page fetches during redo), so the restore curve in Figures
+7/8 — flat with respect to the target time, huge with respect to the
+data needed — emerges from the same accounting as the as-of numbers.
 
-Cost is estimated through the device profiles before anything is copied:
-laying down more chain members costs backup bytes but shortens log
-replay, so the planner evaluates every chain prefix and picks the
-cheapest (ties prefer the longer chain — less replay for the same
-estimate).
+Two routes run that one recipe and differ only in their inputs:
+
+* :func:`restore_point_in_time` — one full backup rolled forward over
+  the primary's *retained* log;
+* :func:`restore_from_archive` — the cheapest chain (full +
+  incrementals) rolled forward over the *archived* log, which reaches
+  past the retention horizon. In the FineLine / instant-restore spirit,
+  redo from an archived log replaces ever touching the (possibly long
+  gone) primary media. The planner estimates cost through the device
+  profiles before anything is copied: laying down more chain members
+  costs backup bytes but shortens log replay, so it evaluates every
+  chain prefix and picks the cheapest (ties prefer the longer chain —
+  less replay for the same estimate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backup.restore import init_restored_shell, roll_forward, undo_in_flight
+from repro.archive.backup import Backup
 from repro.core.split_lsn import checkpoint_chain, find_split_lsn
 from repro.engine.database import Database
-from repro.errors import ArchiveError
+from repro.engine.recovery import analyze_log
+from repro.errors import ArchiveError, BackupError
+from repro.txn.transaction import RecoveredTransaction
+from repro.txn.undo import LogicalUndo
 from repro.wal.lsn import NULL_LSN, format_lsn
+from repro.wal.records import FormatPageRecord, PageImageRecord
+
+
+class _RestoreUndoContext:
+    """Undo context stitching the restored database to the *source* log.
+
+    Loser chains live in the source database's log; compensations apply to
+    the restored database's pages (and are logged into its fresh log,
+    which is harmless — the restored copy is handed out read-only).
+    """
+
+    def __init__(self, restored: Database, source_log) -> None:
+        self.env = restored.env
+        self.log = source_log
+        self.modifier = restored.modifier
+        self.fetch_page = restored.fetch_page
+        self.tree_for_object = restored.tree_for_object
+
+
+def roll_forward(restored: Database, log, from_lsn: int, split: int) -> int:
+    """Replay ``log``'s page modifications in ``[from_lsn, split]`` onto
+    ``restored``, gated by each page's pageLSN; returns records replayed.
+
+    A format record is the first record of a page's (new) incarnation and
+    erases whatever was there, so its redo never needs to read the
+    restored file — pages born after the backup cost no I/O to
+    materialize.
+    """
+    replayed = 0
+    for rec in log.scan(from_lsn, split + 1):
+        if not rec.IS_PAGE_MOD:
+            continue
+        create = isinstance(rec, FormatPageRecord)
+        with restored.fetch_page(rec.page_id, create=create) as guard:
+            page = guard.page
+            if page.is_formatted() and page.page_lsn >= rec.lsn:
+                continue
+            rec.redo(page, fetch=log.undo_fetch)
+            page.page_lsn = rec.lsn
+            if isinstance(rec, PageImageRecord):
+                page.last_image_lsn = rec.lsn
+            guard.mark_dirty()
+        restored.env.charge_cpu(restored.env.cost.redo_record_cpu_s)
+        replayed += 1
+    return replayed
+
+
+def undo_in_flight(restored: Database, log, base: int, split: int) -> int:
+    """Undo transactions in flight at ``split`` (standard restore undo).
+
+    ``base`` is a checkpoint LSN at or before ``split`` (or the oldest
+    covered LSN when no checkpoint qualifies) — the analysis scan starts
+    there. Returns the number of transactions rolled back.
+    """
+    analysis = analyze_log(log, base, split + 1)
+    ctx = _RestoreUndoContext(restored, log)
+    undo = LogicalUndo(ctx)
+    for txn_id, last_lsn in sorted(
+        analysis.losers.items(), key=lambda item: item[1], reverse=True
+    ):
+        loser = RecoveredTransaction(txn_id)
+        loser.last_lsn = last_lsn
+        undo.rollback_chain(loser, last_lsn)
+    return len(analysis.losers)
+
+
+def _recover(
+    engine, name: str, config, pages: dict, log, checkpoints, roll_from: int, split: int
+) -> Database:
+    """The shared recipe up to a consistent copy: lay ``pages`` down as
+    ``name``, roll ``log`` forward from ``roll_from`` to ``split``, undo
+    the transactions in flight there.
+
+    ``checkpoints`` is the ``db``-shaped source whose checkpoint chain
+    gives the analysis scan its start (the newest checkpoint at or
+    before ``split``).
+    """
+    restored = Database(name, config, engine.env, bootstrap=False)
+    restored.file_manager.write_sequential(pages)
+    restored.reload_boot()
+    roll_forward(restored, log, roll_from, split)
+    base = next(
+        (lsn for lsn, _wall, _prev in checkpoint_chain(checkpoints) if lsn <= split),
+        NULL_LSN,
+    )
+    if base == NULL_LSN:
+        base = max(roll_from, log.start_lsn)
+    undo_in_flight(restored, log, base, split)
+    return restored
+
+
+def _seal(engine, restored: Database, register: bool) -> Database:
+    """Finish the recipe: flush, hand out read-only, register the name."""
+    restored.buffer.flush_all()
+    restored.read_only = True
+    if register:
+        with engine.latch:
+            engine._check_name_free(restored.name)
+            engine.databases[restored.name] = restored
+    return restored
+
+
+def restore_point_in_time(
+    engine,
+    backup: Backup,
+    source_db: Database,
+    target_wall: float,
+    new_name: str,
+) -> Database:
+    """Restore ``backup`` as ``new_name`` rolled forward to ``target_wall``.
+
+    Requires the source database's log to still cover the range from
+    ``backup.backup_lsn`` to the target (otherwise the "log backup chain"
+    is broken and :class:`BackupError` is raised). Returns a read-only
+    database registered with the engine; :class:`CatalogError` when
+    ``new_name`` is taken.
+    """
+    log = source_db.log
+    if backup.backup_lsn < log.start_lsn:
+        raise BackupError(
+            f"log no longer covers backup LSN {backup.backup_lsn:#x} "
+            f"(retained from {log.start_lsn:#x}); log backup chain broken"
+        )
+    split = find_split_lsn(source_db, target_wall)
+    if split < backup.backup_lsn:
+        raise BackupError(
+            f"target time precedes the backup "
+            f"(split {split:#x} < backup {backup.backup_lsn:#x})"
+        )
+    restored = _recover(
+        engine, new_name, source_db.config, backup.pages, log, source_db,
+        backup.backup_lsn, split,
+    )
+    # Initialization of the unused log portion: the restored database's
+    # log file spans the full retained range, and the part past the
+    # restore point must still be formatted. The paper names this cost as
+    # one reason restore time is flat regardless of the restore point
+    # (section 6.2).
+    unused = max(0, log.end_lsn - split)
+    if unused:
+        restored.env.log_device.write_seq(unused)
+    return _seal(engine, restored, register=True)
 
 
 @dataclass
@@ -133,30 +288,8 @@ def restore_from_archive(
     if plan is None:
         plan = plan_restore(store, db_name, target_wall)
     view = store.log_view(db_name)
-    log = view.log
-
-    config = plan.chain[0].config
-    if config is None:
-        source = engine.databases.get(db_name)
-        config = source.config if source is not None else engine.default_config
-    restored = init_restored_shell(engine, new_name, config, plan.roll_from_lsn)
-    restored.file_manager.write_sequential(store.read_backup_pages(plan.chain))
-    restored.reload_boot()
-    restored.last_checkpoint_lsn = plan.roll_from_lsn
-
-    roll_forward(restored, log, plan.roll_from_lsn, plan.split_lsn)
-
-    base = NULL_LSN
-    for lsn, _wall, _prev in checkpoint_chain(view):
-        if lsn <= plan.split_lsn:
-            base = lsn
-            break
-    if base == NULL_LSN:
-        base = max(plan.roll_from_lsn, log.start_lsn)
-    undo_in_flight(restored, log, base, plan.split_lsn)
-
-    restored.buffer.flush_all()
-    restored.read_only = True
-    if register:
-        engine.databases[new_name] = restored
-    return restored
+    restored = _recover(
+        engine, new_name, plan.chain[0].config, store.read_backup_pages(plan.chain),
+        view.log, view, plan.roll_from_lsn, plan.split_lsn,
+    )
+    return _seal(engine, restored, register)

@@ -238,13 +238,12 @@ class ArchiveStore:
         ``base_lsn`` names the predecessor's ``backup_lsn``).
         """
         backups = self._backups.setdefault(backup.source_name, [])
-        base_lsn = getattr(backup, "base_lsn", None)
-        if base_lsn is not None and not any(
-            b.backup_lsn == base_lsn for b in backups
+        if backup.base_lsn is not None and not any(
+            b.backup_lsn == backup.base_lsn for b in backups
         ):
             raise BackupError(
                 f"incremental backup of {backup.source_name!r} chains onto "
-                f"LSN {format_lsn(base_lsn)}, which is not in the archive"
+                f"LSN {format_lsn(backup.base_lsn)}, which is not in the archive"
             )
         if backups and backup.backup_lsn < backups[-1].backup_lsn:
             raise BackupError(
@@ -269,7 +268,7 @@ class ArchiveStore:
         backups = self._backups.get(db_name, ())
         chains: list[list] = []
         for backup in backups:
-            if getattr(backup, "base_lsn", None) is None:
+            if backup.base_lsn is None:
                 if up_to_lsn is not None and backup.backup_lsn > up_to_lsn:
                     continue
                 chains.append([backup])
@@ -278,7 +277,7 @@ class ArchiveStore:
             while extended:
                 extended = False
                 for backup in backups:
-                    if getattr(backup, "base_lsn", None) != chain[-1].backup_lsn:
+                    if backup.base_lsn != chain[-1].backup_lsn:
                         continue
                     if up_to_lsn is not None and backup.backup_lsn > up_to_lsn:
                         continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backup import restore_point_in_time, take_full_backup
+from repro.archive import restore_point_in_time, take_backup
 from repro.config import CostModel, DatabaseConfig, SimEnv
 from repro.engine.engine import Engine
 from repro.sim.device import SAS_10K, SLC_SSD, DeviceProfile
@@ -132,7 +132,7 @@ def run_time_travel_experiment(
     engine, db, driver = build_tpcc(
         env, scale, filler_pages=filler_pages, version_store_budget=0
     )
-    backup = take_full_backup(db)
+    backup = take_backup(db)
 
     start_wall = env.clock.now()
     run_result = driver.run_for(workload_minutes * 60.0)

@@ -365,8 +365,8 @@ class AsOfSnapshot:
         """
         tracer = self.env.tracer
         with tracer.span("asof.prepare_page", page=page_id) as prep_span:
-            store = getattr(self.db, "version_store", None)
-            store_key = getattr(self.db, "version_store_key", self.db.name)
+            store = self.db.version_store
+            store_key = self.db.version_store_key
             if store is not None:
                 with tracer.span("version_store.lookup", page=page_id) as probe:
                     cached = store.lookup(store_key, page_id, self.split_lsn)
@@ -389,7 +389,7 @@ class AsOfSnapshot:
                     # the applied prefix on a replica, whose pages trail
                     # its shipped log; a crash discarding the volatile
                     # tail invalidates).
-                    horizon = getattr(self.db, "publish_horizon_lsn", None)
+                    horizon = self.db.publish_horizon_lsn
                     limit = horizon if horizon is not None else self.log.end_lsn
                 if limit > self.split_lsn:
                     store.publish(

@@ -813,24 +813,19 @@ class Engine:
         backup chain without the log to roll it forward is not
         restorable to arbitrary points.
         """
-        from repro.archive.backup import take_incremental_backup
-        from repro.backup.backup import take_full_backup
+        from repro.archive.backup import take_backup
 
         archiver = self.enable_archiving(db_name)
         db = self.database(db_name)
         chain = archiver.store.newest_chain(db_name)
-        with self.env.tracer.span(
-            "backup.database", db=db_name, full=bool(full or not chain)
-        ):
+        base = None if full or not chain else chain[-1]
+        with self.env.tracer.span("backup.database", db=db_name, full=base is None):
             if self.chaos is not None:
                 self.chaos.hit("backup.page_copy", target=db_name)
             # The backup media here IS the archive store (put_backup
             # charges the archive device), so the generic media charge
             # is off.
-            if full or not chain:
-                backup = take_full_backup(db, charge_media=False)
-            else:
-                backup = take_incremental_backup(db, chain[-1], charge_media=False)
+            backup = take_backup(db, base, charge_media=False)
             archiver.store.put_backup(backup)
             # The backup's checkpoint records are in the log now; archive
             # them promptly so the chain is immediately restorable.

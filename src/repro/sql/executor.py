@@ -532,7 +532,7 @@ class Session:
 
     def _do_backup(self, stmt: BackupDatabase) -> Result:
         backup = self.engine.backup_database(stmt.name, full=stmt.full)
-        kind = "full" if not hasattr(backup, "base_lsn") else "incremental"
+        kind = "full" if backup.base_lsn is None else "incremental"
         return Result(
             message=(
                 f"BACKUP DATABASE {stmt.name} ({kind}, "

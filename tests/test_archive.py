@@ -8,13 +8,7 @@ import os
 
 import pytest
 
-from repro.archive import (
-    ArchiveStore,
-    IncrementalBackup,
-    plan_restore,
-    take_incremental_backup,
-)
-from repro.backup import take_full_backup
+from repro.archive import ArchiveStore, plan_restore, take_backup
 from repro.config import CostModel, SimEnv
 from repro.engine.engine import Engine
 from repro.errors import (
@@ -59,15 +53,15 @@ class TestArchiveStore:
     def test_incremental_backup_must_chain(self, env, items_db):
         store = ArchiveStore(env)
         fill_items(items_db, 10)
-        full = take_full_backup(items_db)
-        inc = take_incremental_backup(items_db, full)
+        full = take_backup(items_db)
+        inc = take_backup(items_db, full)
         with pytest.raises(BackupError, match="not in the archive"):
             store.put_backup(inc)
         store.put_backup(full)
         store.put_backup(inc)
-        assert [type(b) for b in store.newest_chain("itemsdb")] == [
-            type(full),
-            IncrementalBackup,
+        assert [b.base_lsn for b in store.newest_chain("itemsdb")] == [
+            None,
+            full.backup_lsn,
         ]
 
     def test_directory_persistence(self, env, tmp_path):
@@ -227,10 +221,10 @@ class TestIncrementalBackup:
     def test_copies_only_changed_pages(self, items_db):
         db = items_db
         fill_items(db, 200)
-        full = take_full_backup(db)
+        full = take_backup(db)
         with db.transaction() as txn:
             db.update(txn, "items", (3,), {"qty": -1})
-        inc = take_incremental_backup(db, full)
+        inc = take_backup(db, full)
         assert inc.base_lsn == full.backup_lsn
         assert inc.backup_lsn > full.backup_lsn
         assert 0 < len(inc.pages) < len(full.pages)
@@ -243,13 +237,13 @@ class TestIncrementalBackup:
     def test_chain_of_incrementals(self, items_db):
         db = items_db
         fill_items(db, 50)
-        full = take_full_backup(db)
+        full = take_backup(db)
         with db.transaction() as txn:
             db.update(txn, "items", (1,), {"qty": 111})
-        inc1 = take_incremental_backup(db, full)
+        inc1 = take_backup(db, full)
         with db.transaction() as txn:
             db.update(txn, "items", (2,), {"qty": 222})
-        inc2 = take_incremental_backup(db, inc1)
+        inc2 = take_backup(db, inc1)
         assert inc2.base_lsn == inc1.backup_lsn
         assert set(inc2.pages) != set(full.pages)
 

@@ -1,16 +1,18 @@
 """Chain restore correctness under TPC-C churn.
 
-The satellite's contract: full + 2 incrementals + archived log, restored
-at three different times, must (a) match the live ``AS OF`` view wherever
-both mechanisms can reach, (b) pass ``checkdb`` on every restored copy,
-and (c) keep working after the primary's retention window has closed —
-where only the archive can still serve the time.
+Full + 2 incrementals + archived log, restored at three different times,
+must (a) match the live ``AS OF`` view and a point-in-time restore of the
+full backup over the primary's retained log wherever all can reach,
+(b) pass ``checkdb`` on every restored copy, and (c) keep working after
+the primary's retention window has closed — where only the archive can
+still serve the time.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.archive import restore_point_in_time
 from repro.errors import RetentionExceededError
 from repro.tools import check_database
 from repro.workload import TpccDriver, TpccScale, load_tpcc
@@ -58,11 +60,17 @@ class TestChainRestoreCorrectness:
         assert len(chain) == 3  # full + 2 incrementals
         for mark in marks:
             restored = engine.restore_from_archive("tpcc", mark)
+            # The retained-log route from the chain's full backup must
+            # land on the same rows as the archived-log route.
+            pitr = restore_point_in_time(engine, chain[0], db, mark, "tpcc_pitr")
             with engine.query_as_of("tpcc", mark) as snap:
                 _tables_equal(restored, snap)
+                _tables_equal(pitr, snap)
+            _tables_equal(pitr, restored)
             report = check_database(restored)
             assert report.ok, report.problems
             engine.drop_database(restored.name)
+            engine.drop_database(pitr.name)
 
     def test_restore_outlives_the_retention_window(self, engine, churned):
         db, _driver, marks = churned

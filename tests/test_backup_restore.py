@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backup import FullBackup, restore_point_in_time, take_full_backup
-from repro.errors import BackupError, SnapshotReadOnlyError
+from repro.archive import Backup, restore_point_in_time, take_backup
+from repro.errors import BackupError, CatalogError, SnapshotReadOnlyError
 from tests.conftest import fill_items
 
 
 class TestFullBackup:
     def test_backup_contains_all_allocated_pages(self, items_db):
         fill_items(items_db, 50)
-        backup = take_full_backup(items_db)
+        backup = take_backup(items_db)
         assert set(items_db.alloc.allocated_page_ids()) == set(backup.pages)
         assert backup.backup_lsn == items_db.last_checkpoint_lsn
         assert backup.size_bytes == len(backup.pages) * items_db.config.page_size
@@ -20,7 +20,7 @@ class TestFullBackup:
     def test_backup_charges_streaming_io(self, items_db):
         fill_items(items_db, 50)
         before = items_db.env.stats.snapshot()
-        take_full_backup(items_db)
+        take_backup(items_db)
         spent = items_db.env.stats.delta(before)
         assert spent.backup_read_bytes > 0
         assert spent.backup_write_bytes >= spent.backup_read_bytes
@@ -31,7 +31,7 @@ class TestRestore:
         """Backup, then three timestamped generations of changes."""
         db = items_db
         fill_items(db, 20)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         marks = []
         for gen in range(3):
             db.env.clock.advance(10)
@@ -62,7 +62,7 @@ class TestRestore:
     def test_restore_undoes_in_flight(self, engine, items_db):
         db = items_db
         fill_items(db, 10)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         straddler = db.begin()
         db.update(straddler, "items", (2,), {"qty": -2})
         anchor = db.begin()
@@ -79,7 +79,7 @@ class TestRestore:
         db = items_db
         fill_items(db, 5)
         db.env.clock.advance(100)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         with pytest.raises(BackupError):
             restore_point_in_time(engine, backup, db, 1.0, "early")
 
@@ -87,7 +87,7 @@ class TestRestore:
         db = items_db
         db.set_undo_interval(10)
         fill_items(db, 5)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         db.env.clock.advance(1000)
         db.checkpoint()
         db.env.clock.advance(1000)
@@ -103,7 +103,7 @@ class TestRestore:
         """The two time-travel mechanisms must produce identical data."""
         db = items_db
         fill_items(db, 30)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         db.env.clock.advance(10)
         with db.transaction() as txn:
             for i in range(15):
@@ -123,7 +123,7 @@ class TestRestore:
         db = small_db
         db.create_table(ITEMS_SCHEMA)
         fill_items(db, 50)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         db.env.clock.advance(5)
         fill_items(db, 400, start=50)  # splits after the backup
         mark = db.env.clock.now()
@@ -134,6 +134,77 @@ class TestRestore:
 
     def test_backup_repr(self, items_db):
         fill_items(items_db, 5)
-        backup = take_full_backup(items_db)
-        assert isinstance(backup, FullBackup)
-        assert "FullBackup" in repr(backup)
+        backup = take_backup(items_db)
+        assert isinstance(backup, Backup) and backup.base_lsn is None
+        assert "Backup(full" in repr(backup)
+
+
+class TestRestoredCopy:
+    """A restored copy is a real database: read-only to writers on both
+    routes, able to run the system transactions its own undo needs, and
+    never registered over a name in use."""
+
+    def test_writes_raise_read_only_on_both_routes(self, engine, items_db):
+        db = items_db
+        fill_items(db, 10)
+        backup = take_backup(db)
+        engine.sql("BACKUP DATABASE itemsdb", "itemsdb")
+        db.env.clock.advance(5)
+        with db.transaction() as txn:
+            db.update(txn, "items", (1,), {"qty": -1})
+        mark = db.env.clock.now()
+        db.env.clock.advance(5)
+        db.log.flush()
+        engine.archives["itemsdb"].poll()
+        restore_point_in_time(engine, backup, db, mark, "pitr")
+        engine.sql(f"RESTORE DATABASE itemsdb AS OF {mark} AS archived")
+        for name in ("pitr", "archived"):
+            restored = engine.database(name)
+            assert restored.get("items", (1,))[2] == -1
+            with pytest.raises(SnapshotReadOnlyError):
+                engine.sql("INSERT INTO items VALUES (99, 'x', 0)", name)
+            with pytest.raises(SnapshotReadOnlyError):
+                with restored.transaction():
+                    pass
+            assert restored.get("items", (99,)) is None
+
+    def test_undo_in_flight_runs_system_transactions(self, engine, small_db):
+        """Undoing an in-flight delete re-inserts rows into a leaf that
+        later commits filled, so the restore's undo splits it."""
+        from tests.conftest import ITEMS_SCHEMA
+
+        db = small_db
+        db.create_table(ITEMS_SCHEMA)
+        fill_items(db, 5)
+        backup = take_backup(db)
+        straddler = db.begin()
+        for i in range(5):
+            db.delete(straddler, "items", (i,))
+        root = db.table("items").info.root_page
+
+        def leaf_free() -> int:
+            with db.fetch_page(root) as guard:
+                return guard.page.total_free()
+
+        key, used = 100, 0
+        while leaf_free() >= used:
+            before = leaf_free()
+            fill_items(db, 1, start=key)
+            used = before - leaf_free()
+            key += 1
+        mark = db.env.clock.now()
+        db.env.clock.advance(5)
+        db.commit(straddler)
+        restored = restore_point_in_time(engine, backup, db, mark, "split")
+        expected = [*range(5), *range(100, key)]
+        assert [r[0] for r in restored.scan("items")] == expected
+
+    def test_name_in_use_is_rejected(self, engine, items_db):
+        db = items_db
+        fill_items(db, 5)
+        backup = take_backup(db)
+        db.env.clock.advance(5)
+        with pytest.raises(CatalogError, match="already exists"):
+            restore_point_in_time(engine, backup, db, db.env.clock.now(), "itemsdb")
+        assert engine.database("itemsdb") is db
+        assert not db.read_only

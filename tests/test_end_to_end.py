@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backup import restore_point_in_time, take_full_backup
+from repro.archive import restore_point_in_time, take_backup
 from repro.core.recovery_tools import diff_table, restore_rows
 from repro.workload import TpccDriver, TpccScale, load_tpcc
 from repro.workload.tpcc_txns import stock_level
@@ -74,7 +74,7 @@ class TestBackupPlusAsOf:
         """Backup-restore, as-of snapshot and diff-reconcile all agree."""
         db = items_db
         fill_items(db, 20)
-        backup = take_full_backup(db)
+        backup = take_backup(db)
         db.env.clock.advance(10)
         with db.transaction() as txn:
             for i in range(10):

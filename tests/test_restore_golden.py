@@ -29,8 +29,7 @@ from pathlib import Path
 
 from test_sim_invariance import CONFIG, SCALE, SEED
 
-from repro.archive import plan_restore, restore_from_archive, take_incremental_backup
-from repro.backup import restore_point_in_time, take_full_backup
+from repro.archive import plan_restore, restore_from_archive, restore_point_in_time, take_backup
 from repro.bench.harness import build_tpcc, make_perf_env
 from repro.config import DatabaseConfig
 from repro.core.split_lsn import find_split_lsn
@@ -93,13 +92,13 @@ def run_history() -> dict:
     driver.pump = engine.replication_tick
     observed: dict = {}
 
-    full = take_full_backup(db)
+    full = take_backup(db)
     driver.run_transactions(TXNS_PER_ERA)
     engine.backup_database(db.name)
     driver.run_transactions(TXNS_PER_ERA)
     early = env.clock.now()
     env.clock.advance(1)
-    inc = take_incremental_backup(db, full)
+    inc = take_backup(db, full)
     observed["backups"] = {
         "full": _backup_view(full, None),
         "incremental": _backup_view(inc, inc.base_lsn),
